@@ -200,13 +200,11 @@ LEG_ENV = {
     "eager": {
         "O2_COMPILE_STEP": "0",
         "O2_BUFFER_POOL": "1",
-        "O2_NUM_THREADS": "1",
         "O2_MEM_PROFILE": "1",
     },
     "plan": {
         "O2_COMPILE_STEP": "1",
         "O2_BUFFER_POOL": "1",
-        "O2_NUM_THREADS": "1",
         "O2_MEM_PROFILE": "1",
     },
 }

@@ -125,15 +125,14 @@ def run_leg(scale: float, steps: int) -> dict:
 LEG_ENV = {
     # The reference leg reproduces the pre-optimisation execution: in-tree
     # reference kernels, per-period serial propagation, untouched allocator.
-    # Both legs pin O2_COMPILE_STEP=0 so the kernel/threading comparison
-    # stays eager-vs-eager; bench_compile.py owns the compiled-step story.
+    # Both legs pin O2_COMPILE_STEP=0 so the kernel comparison stays
+    # eager-vs-eager; bench_compile.py owns the compiled-step story.
     "ref": {
         "O2_FAST_KERNELS": "0",
         "O2_MALLOC_TUNE": "0",
-        "O2_NUM_THREADS": "1",
         "O2_COMPILE_STEP": "0",
     },
-    "fast": {"O2_NUM_THREADS": "1", "O2_COMPILE_STEP": "0"},
+    "fast": {"O2_COMPILE_STEP": "0"},
 }
 
 

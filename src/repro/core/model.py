@@ -37,7 +37,6 @@ from ..graphs import (
 )
 from ..nn import Module
 from ..optim import mse_loss
-from ..parallel import parallel_map
 from ..tensor import Tensor, fast_kernels_enabled
 from ..tensor import plan as _plan
 from ..tensor.segment import invalidate_plans_for
@@ -267,11 +266,9 @@ class O2SiteRec(Module):
                 diff = (predicted - Tensor(mobility.delivery_time)).abs().mean()
             return su, diff
 
-        # The per-period passes share parameters but build independent
-        # autograd subgraphs, so they fan out on the thread pool; O1 terms
-        # are summed in period order afterwards, keeping the reduction
-        # deterministic regardless of scheduling.
-        results = parallel_map(run, list(TimePeriod))
+        # O1 terms are summed in period order, keeping the reduction
+        # deterministic.
+        results = [run(period) for period in TimePeriod]
         capacity_su = {p: su for p, (su, _) in zip(TimePeriod, results)}
         o1_total = None
         for _, diff in results:

@@ -39,7 +39,6 @@ from ..nn import (
     ModuleList,
     MultiHeadSegmentAttention,
 )
-from ..parallel import num_threads, parallel_map
 from ..tensor import (
     Tensor,
     concat,
@@ -69,8 +68,8 @@ def set_batch_periods(enabled: bool) -> bool:
     The batched pass computes the same propagation with period-stacked
     arrays; predictions match the per-period path to ~1e-15 and gradients
     to ~1e-16 (summation order inside the taller matmuls differs).  Turning
-    it off forces the per-period path even with one worker thread -- the
-    serial reference for the bit-for-bit threaded-equivalence guarantee.
+    it off runs the per-period composition, the reference the batched pass
+    is tested against.
     """
     global _batch_periods
     previous = _batch_periods
@@ -131,7 +130,7 @@ class CapacityEdgeFactors:
 class _EdgeSet:
     """Edge endpoint arrays + attribute tensors for one propagation pass.
 
-    A pass may cover a single period (reference / threaded per-period paths)
+    A pass may cover a single period (the per-period reference paths)
     or all periods stacked into one block-diagonal graph with node indices
     offset per period (the batched fast path) -- the node-level layer is
     agnostic to which.
@@ -554,12 +553,10 @@ class HeteroRecommender(Module):
         so these outputs can be frozen once per trained model and reused for
         every online query (see :mod:`repro.serve`).
 
-        Fast-path execution: with more than one worker thread available
-        (``O2_NUM_THREADS``), the P periods build their disjoint autograd
-        subgraphs concurrently on the shared thread pool; the serial
-        fallback runs one batched pass over the period-stacked graph.  All
-        dropout masks are drawn serially in period order in either case, so
-        threaded and serial runs are bit-for-bit identical.
+        Fast-path execution runs one batched pass over the period-stacked
+        graph.  With period batching off (:func:`set_batch_periods`), the
+        P periods run one after another through :meth:`_propagate` -- the
+        per-period composition the batched pass is tested against.
         """
         periods = list(TimePeriod)
         if not fast_kernels_enabled():
@@ -577,15 +574,17 @@ class HeteroRecommender(Module):
             # workers; bit-identical to the per-period path below.
             return propagate_periods_sharded(self, capacity_su, tiles)
 
-        if num_threads(len(periods)) > 1 or not batch_periods_enabled():
+        if not batch_periods_enabled():
             h0, z0, q0 = self._fuse_base()  # shared across periods
             fused = {p: (self.dropout(h0), self.dropout(z0), q0) for p in periods}
-
-            def run(period: TimePeriod) -> Tuple[Tensor, Tensor]:
-                cap = capacity_su.get(period) if capacity_su else None
-                return self._propagate(period, cap, fused=fused[period])
-
-            return dict(zip(periods, parallel_map(run, periods)))
+            return {
+                period: self._propagate(
+                    period,
+                    capacity_su.get(period) if capacity_su else None,
+                    fused=fused[period],
+                )
+                for period in periods
+            }
 
         h_b, q_b = self._propagate_batched(capacity_su)
         n_s, n_t = self.graph.num_store_nodes, self.graph.num_types
@@ -610,7 +609,6 @@ class HeteroRecommender(Module):
         if (
             fast_kernels_enabled()
             and batch_periods_enabled()
-            and num_threads(len(periods)) <= 1
             and not shard_tiles_for(self, capacity_su)
         ):
             # Batched path: gather all periods' pair rows straight from the

@@ -73,7 +73,7 @@ import numpy as np
 
 from ..data.periods import TimePeriod
 from ..graphs.partition import GridTilePartition, band_node_splits
-from ..parallel import in_process_worker, num_procs, num_threads, process_map
+from ..parallel import in_process_worker, num_procs, process_map
 from ..runtime import env_int, env_str
 from ..serve.arena import open_raw_arena, save_raw_arena
 from ..tensor import Tensor, fast_kernels_enabled
@@ -238,7 +238,7 @@ def shard_tiles_for(recommender, capacity_su=None) -> int:
 # Training gate (``O2_SHARD_TRAIN`` / ``TrainConfig.shard_train``): banded
 # sharded training targets the period-batched fast path -- the repo's
 # default single-process training configuration -- so it additionally
-# requires that path's own preconditions (serial threads, batching on).
+# requires that path's own precondition (batching on).
 # ---------------------------------------------------------------------------
 
 _train_override: Optional[bool] = None
@@ -281,10 +281,10 @@ def shard_train_tiles_for(recommender, capacity_su=None) -> int:
     Mirrors :func:`shard_tiles_for` for the training direction: the model
     must be in training mode with banded training enabled, on the
     fast-kernel path, outside any worker, with attention aggregators and
-    factored (or absent) capacity attributes -- plus the period-batched
-    branch conditions (``batch_periods_enabled`` and a serial thread
-    count), because the banded step reproduces exactly that reference op
-    sequence.  Every exit records why in :func:`shard_train_gate_reason`.
+    factored (or absent) capacity attributes -- plus
+    ``batch_periods_enabled``, because the banded step reproduces exactly
+    the period-batched op sequence.  Every exit records why in
+    :func:`shard_train_gate_reason`.
     """
     global _train_gate_reason
     if recommender is None:
@@ -314,12 +314,6 @@ def shard_train_tiles_for(recommender, capacity_su=None) -> int:
     if not batch_periods_enabled():
         _train_gate_reason = (
             "period batching off (banded training targets the batched path)"
-        )
-        return 0
-    if num_threads(len(TimePeriod)) > 1:
-        _train_gate_reason = (
-            "threaded per-period path (banded training targets the "
-            "batched path)"
         )
         return 0
     reason = _aggregator_gate_reason(recommender, capacity_su)

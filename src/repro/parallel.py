@@ -1,25 +1,14 @@
-"""Shared thread-pool engine for per-period parallelism.
+"""Process-level fan-out for experiment cells and sharded propagation.
 
-The five time periods of the multi-graph propagate independently (they
-share parameters but build disjoint autograd subgraphs), and numpy releases
-the GIL inside its BLAS and reduction kernels, so a thread pool overlaps
-most of the per-period work on multi-core machines.
-
-The worker count comes from the ``O2_NUM_THREADS`` environment variable
-(``auto`` or unset picks ``min(num_tasks, cpu_count)``); it can be pinned
-programmatically with :func:`set_num_threads`.  With one worker,
-:func:`parallel_map` degrades to a plain serial loop -- the deterministic
-reference execution.  The parallel path is bit-for-bit identical to the
-serial one because every task is a pure function of inputs fixed before
-dispatch (all RNG draws happen serially, before the fan-out) and results
-are joined in task order.
+Within a process the model runs serially: the five time periods share one
+period-batched pass (:mod:`repro.core.recommender`).  Parallelism comes
+from worker processes (:func:`process_map`, ``O2_NUM_PROCS``) and serving
+workers (:func:`num_serve_procs`, ``O2_SERVE_PROCS``).
 """
 
 from __future__ import annotations
 
 import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, List, Optional, Sequence, TypeVar
 
 from .runtime import env_str
@@ -27,101 +16,16 @@ from .runtime import env_str
 T = TypeVar("T")
 R = TypeVar("R")
 
-_override: Optional[int] = None
-_executor: Optional[ThreadPoolExecutor] = None
-_executor_workers = 0
-_lock = threading.Lock()
 
-
-def _env_threads() -> Optional[int]:
-    raw = env_str("O2_NUM_THREADS", "auto")
-    if raw in ("", "auto"):
-        return None
-    try:
-        return max(int(raw), 1)
-    except ValueError:
-        raise ValueError(
-            f"O2_NUM_THREADS must be an integer or 'auto', got {raw!r}"
-        ) from None
-
-
-def num_threads(num_tasks: Optional[int] = None) -> int:
-    """Worker count: the override, else ``O2_NUM_THREADS``, else auto.
-
-    ``auto`` never exceeds the CPU count or (when given) the task count --
-    there is no point spinning up more workers than independent tasks.
-    """
-    configured = _override if _override is not None else _env_threads()
-    if configured is None:
-        configured = os.cpu_count() or 1
-        if num_tasks is not None:
-            configured = min(configured, num_tasks)
-    return max(configured, 1)
-
-
-def set_num_threads(value: Optional[int]) -> Optional[int]:
-    """Pin the worker count (``None`` defers back to ``O2_NUM_THREADS``).
-
-    Returns the previous override so callers can restore it.
-    """
-    global _override
-    previous = _override
-    if value is not None and value < 1:
-        raise ValueError("num_threads must be >= 1")
-    _override = value
-    return previous
-
-
-class use_num_threads:
-    """Context manager pinning the worker count (tests/benchmarks)."""
-
-    def __init__(self, value: Optional[int]) -> None:
-        self._value = value
-        self._previous: Optional[int] = None
-
-    def __enter__(self) -> "use_num_threads":
-        self._previous = set_num_threads(self._value)
-        return self
-
-    def __exit__(self, *exc) -> None:
-        set_num_threads(self._previous)
-
-
-def _get_executor(workers: int) -> ThreadPoolExecutor:
-    """A process-wide pool, rebuilt only when the worker count changes."""
-    global _executor, _executor_workers
-    with _lock:
-        if _executor is None or _executor_workers != workers:
-            if _executor is not None:
-                _executor.shutdown(wait=False)
-            _executor = ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="o2-period"
-            )
-            _executor_workers = workers
-        return _executor
-
-
-def parallel_map(fn: Callable[[T], R], items: Sequence[T]) -> List[R]:
-    """``[fn(x) for x in items]``, fanned out over the thread pool.
-
-    Results keep the order of ``items``.  Serial (and executor-free) when
-    one worker is configured, one item is passed, or when called from
-    inside a pool worker (nested fan-out would deadlock a saturated pool).
-    """
-    items = list(items)
-    workers = num_threads(len(items))
-    current = threading.current_thread().name
-    if workers <= 1 or len(items) <= 1 or current.startswith("o2-period"):
-        return [fn(item) for item in items]
-    executor = _get_executor(workers)
-    return list(executor.map(fn, items))
+def num_threads() -> int:
+    """In-process worker threads for the model: always 1 (host records)."""
+    return 1
 
 
 # ----------------------------------------------------------------------
 # Process-pool backend (``O2_NUM_PROCS``): coarse-grained experiment
-# fan-out.  Unlike the thread pool above -- which overlaps GIL-releasing
-# numpy kernels -- worker processes sidestep the GIL entirely, so whole
-# harness cells (simulate, build, train, evaluate) run concurrently.
+# fan-out.  Worker processes sidestep the GIL entirely, so whole harness
+# cells (simulate, build, train, evaluate) run concurrently.
 # Tasks must be top-level functions with picklable arguments and results.
 
 _proc_override: Optional[int] = None

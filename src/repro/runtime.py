@@ -86,7 +86,7 @@ def env_float(name: str, default: float) -> float:
 def env_str(name: str, default: str, lower: bool = True) -> str:
     """Parse the enum-valued env switch ``name``: stripped and lowercased.
 
-    Every enum-valued ``O2_*`` switch (``O2_NUM_THREADS=auto``,
+    Every enum-valued ``O2_*`` switch (``O2_NUM_PROCS=auto``,
     ``O2_SERVE_INDEX=on``...) compares case-insensitively against keyword
     spellings; centralising the normalisation here keeps the modules on one
     convention, mirroring :func:`env_flag`.  Unset falls back to ``default``

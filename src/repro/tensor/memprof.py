@@ -42,7 +42,7 @@ __all__ = [
 _enabled = _runtime.env_flag("O2_MEM_PROFILE", False)
 
 _lock = threading.Lock()
-# tag -> [count, bytes]; mutated under _lock (forward ops may run threaded).
+# tag -> [count, bytes]; mutated under _lock (callers may be on any thread).
 _allocs: Dict[str, list] = {}
 
 

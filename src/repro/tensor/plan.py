@@ -129,11 +129,8 @@ class Trace:
     counts op sites that emitted a replay thunk (or proved their output a
     view).  The two must match for the plan to be complete — a mismatch
     means some op path is not instrumented and the plan is discarded.
-
-    Thread-safe: the threaded per-period capture path appends from worker
-    threads.  Per-thread program order plus the pre-fan-out emission of
-    shared ancestors makes any append interleaving a valid topological
-    order for serial replay.
+    Capture runs on the training thread, so the append order is the
+    program order replay follows.
     """
 
     __slots__ = (
@@ -143,7 +140,6 @@ class Trace:
         "nodes_recorded",
         "poisoned",
         "poison_reason",
-        "lock",
     )
 
     def __init__(self) -> None:
@@ -153,11 +149,9 @@ class Trace:
         self.nodes_recorded = 0
         self.poisoned = False
         self.poison_reason = ""
-        self.lock = threading.Lock()
 
     def count_node(self) -> None:
-        with self.lock:
-            self.nodes_created += 1
+        self.nodes_created += 1
 
 
 def tracing() -> bool:
@@ -170,9 +164,8 @@ def emit(fn: Callable[[], None]) -> None:
     t = _TRACE
     if t is None:
         return
-    with t.lock:
-        t.thunks.append(fn)
-        t.nodes_recorded += 1
+    t.thunks.append(fn)
+    t.nodes_recorded += 1
 
 
 def emit_aux(fn: Callable[[], None]) -> None:
@@ -180,8 +173,7 @@ def emit_aux(fn: Callable[[], None]) -> None:
     t = _TRACE
     if t is None:
         return
-    with t.lock:
-        t.thunks.append(fn)
+    t.thunks.append(fn)
 
 
 def emit_view(dst, src, fn: Optional[Callable[[], np.ndarray]] = None) -> None:
@@ -195,8 +187,7 @@ def emit_view(dst, src, fn: Optional[Callable[[], np.ndarray]] = None) -> None:
     if t is None:
         return
     if isinstance(dst, np.ndarray) and np.may_share_memory(dst, src):
-        with t.lock:
-            t.nodes_recorded += 1
+        t.nodes_recorded += 1
         return
     if fn is None or not isinstance(dst, np.ndarray):
         poison("view output does not alias its source")
@@ -236,8 +227,7 @@ def record_bind(fn: Callable[[], None]) -> None:
     """
     t = _TRACE
     if t is not None:
-        with t.lock:
-            t.binds.append(fn)
+        t.binds.append(fn)
 
 
 # ----------------------------------------------------------------------

@@ -7,8 +7,10 @@ session scope is safe; tests must not mutate these objects.
 from __future__ import annotations
 
 import atexit
+import faulthandler
 import os
 import shutil
+import sys
 import tempfile
 
 import numpy as np
@@ -91,3 +93,34 @@ def micro_split(micro_dataset):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(42)
+
+
+# Per-test hang watchdog.  A test still running after WATCHDOG_S seconds
+# dumps every thread's stack and exits the run with status 1, so a hang
+# (say a forked worker waiting on a lock it inherited) fails loudly instead
+# of stalling CI.  The slowest test, test_serve_scale.py::TestWorkerPool::
+# test_inherited_socket_fallback, takes 10.1 s on a 2-core OpenBLAS host
+# (``pytest --durations=10``); 120 s is 12x that, slack for slower runners.
+WATCHDOG_S = 120.0
+
+_watchdog_file = None
+
+
+def pytest_configure(config):
+    # Output capture redirects fd 2 while a test runs, and the dump goes out
+    # just before the process exits: write it to a copy of the real stderr,
+    # taken here while capture is suspended.
+    global _watchdog_file
+    _watchdog_file = os.fdopen(os.dup(sys.stderr.fileno()), "w")
+
+
+def pytest_unconfigure(config):
+    if _watchdog_file is not None:
+        _watchdog_file.close()
+
+
+@pytest.fixture(autouse=True)
+def _hang_watchdog():
+    faulthandler.dump_traceback_later(WATCHDOG_S, exit=True, file=_watchdog_file)
+    yield
+    faulthandler.cancel_dump_traceback_later()
