@@ -1,4 +1,4 @@
-"""Sharded propagation: grid-tile band sweep vs the single-process legs.
+"""Banded eval propagation: grid-tile band sweep vs the single-process legs.
 
 Three fresh-subprocess legs on the metropolis preset (10k+ regions, ~1.3M
 S-U edges across five periods), identical except for the ``O2_*`` switches
@@ -7,21 +7,26 @@ read at import time:
 * ``single``    -- ``O2_SHARD_TILES=0``: the repo's default single-process
   configuration (period-batched propagation, full-graph kernels);
 * ``perperiod`` -- ``O2_SHARD_TILES=0 O2_BATCH_PERIODS=0``: the per-period
-  reference path, the exact FP op sequence the sharded executor promises
-  to reproduce byte-for-byte;
-* ``sharded``   -- ``O2_SHARD_TILES=8``: grid-tile banded propagation.
-  On a single core this runs as the in-process band sweep (no forks); the
-  win is cache tiling -- band-local edge intermediates stay resident
-  instead of streaming ~85 MB of full-graph temporaries through DRAM per
-  kernel -- plus value-only execution with no autograd tape.  With
-  ``O2_NUM_PROCS`` set on a multi-core host the same bands fan out over a
-  process pool and shared read-only arenas.
+  composition, the batched path's own reference;
+* ``sharded``   -- ``O2_SHARD_TILES=8``: the banded forward of the
+  training step (:func:`repro.core.shard_train.apply_layers_banded`),
+  run in eval mode -- no banded backward recorded, no attention stash,
+  ``h, z, q`` detached after every layer.  On a single core this runs as
+  the in-process band sweep (no forks); the win is cache tiling --
+  band-local edge intermediates stay resident instead of streaming
+  ~85 MB of full-graph temporaries through DRAM per kernel.  The node
+  tables and the type-hub aggregation still run through autograd ops, so
+  each layer's tape holds node-sized intermediates until the detach.
+  With ``O2_NUM_PROCS`` set on a multi-core host the same bands fan out
+  over a process pool and shared read-only arenas.
 
 Every leg records a SHA-256 over the propagated ``(h, q)`` tensors of all
-periods; the driver asserts ``sharded`` is *identical* to ``perperiod``
-(the batched leg differs in summation order by design, ~1e-15).  The
-sharded leg must also report that the gate actually engaged, so the
-speedup is measuring the executor and not a silent fallback.
+periods; the driver asserts ``sharded`` is *identical* to ``single``, the
+dense path it replaces, and to ``perperiod`` (the batched and per-period
+paths may differ in summation order in general, ~1e-15; on the bench
+data they agree, and the check pins that).  The sharded leg must also
+report that the gate actually engaged, so the speedup is measuring the
+band sweep and not a silent fallback.
 
 Usage::
 
@@ -157,6 +162,12 @@ def check_legs(legs: dict) -> None:
         raise SystemExit("single leg lost period batching (not the default)")
     if legs["sharded"]["tiles_engaged"] <= 1:
         raise SystemExit("sharded leg did not engage the tile gate")
+    if legs["sharded"]["sha"] != legs["single"]["sha"]:
+        raise SystemExit(
+            "sharded propagation is NOT bit-identical to the dense batched "
+            f"leg: {legs['sharded']['sha'][:16]} != "
+            f"{legs['single']['sha'][:16]}"
+        )
     if legs["sharded"]["sha"] != legs["perperiod"]["sha"]:
         raise SystemExit(
             "sharded propagation is NOT bit-identical to the per-period "
@@ -203,7 +214,8 @@ def format_report(legs: dict, scale: float, mode: str, floor: float) -> str:
         f"page-in, the memory gap remains)",
         f"peak RSS: {single['peak_rss_mb']:.0f} MB single vs "
         f"{sharded['peak_rss_mb']:.0f} MB sharded ({rss_ratio:.1f}x)",
-        f"bit-identical to per-period reference: "
+        f"bit-identical to dense batched leg: "
+        f"{sharded['sha'] == single['sha']}; to per-period reference: "
         f"{sharded['sha'] == perperiod['sha']}",
     ]
     return "\n".join(lines)

@@ -4,9 +4,9 @@ Three fresh-subprocess legs run the same eager batch-128 Adam steps on the
 metropolis preset (10k+ regions), identical except for the ``O2_*``
 switches read at import time:
 
-* ``reference`` -- ``O2_SHARD_TRAIN=0``: the dense training step (full-
+* ``reference`` -- ``O2_SHARD_TILES=0``: the dense training step (full-
   range autograd attention per relation per period);
-* ``serial``    -- ``O2_SHARD_TRAIN=1 O2_SHARD_TILES=8 O2_NUM_PROCS=0``:
+* ``serial``    -- ``O2_SHARD_TILES=8 O2_NUM_PROCS=0``:
   the banded step as the in-process cache-tiled band sweep.  The win is
   locality: band-sized edge intermediates stay cache-resident through the
   block-sweep backward instead of streaming full-graph temporaries
@@ -135,16 +135,14 @@ def run_leg(leg: str, scale: float, steps: int) -> dict:
 # Eager on every leg: the banded step poisons replay capture by design, so
 # compiled-vs-eager would measure the fallback, not the executor.
 LEG_ENV = {
-    "reference": {"O2_COMPILE_STEP": "0", "O2_SHARD_TRAIN": "0"},
+    "reference": {"O2_COMPILE_STEP": "0", "O2_SHARD_TILES": "0"},
     "serial": {
         "O2_COMPILE_STEP": "0",
-        "O2_SHARD_TRAIN": "1",
         "O2_SHARD_TILES": str(SHARD_TILES),
         "O2_NUM_PROCS": "0",
     },
     "forked": {
         "O2_COMPILE_STEP": "0",
-        "O2_SHARD_TRAIN": "1",
         "O2_SHARD_TILES": str(SHARD_TILES),
         "O2_NUM_PROCS": "2",
     },

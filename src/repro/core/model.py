@@ -147,7 +147,7 @@ class O2SiteRec(Module):
             product_channel=cfg.product_channel,
             commercial_in_predictor=cfg.commercial_in_predictor,
         )
-        # Grid geometry enables grid-tile sharded eval (repro.core.shard).
+        # Grid geometry enables the banded forward (repro.core.shard).
         self.recommender.grid_shape = (dataset.grid.rows, dataset.grid.cols)
 
         self._store_index = {

@@ -382,8 +382,7 @@ class HeteroRecommender(Module):
         # pair-array identity like the commercial rows.
         self._offset_idx_cache: "OrderedDict[tuple, tuple]" = OrderedDict()
         # (rows, cols) of the underlying region grid, attached by O2SiteRec;
-        # required (with eval mode + fast kernels) for grid-tile sharded
-        # propagation (repro.core.shard) to engage.
+        # required for the banded forward (repro.core.shard) to engage.
         self.grid_shape: Optional[Tuple[int, int]] = None
 
     # ------------------------------------------------------------------
@@ -528,13 +527,13 @@ class HeteroRecommender(Module):
         h = concat([d[0] for d in dropped], axis=0)
         z = concat([d[1] for d in dropped], axis=0)
         q = concat([q0] * len(periods), axis=0)
-        from .shard import shard_train_tiles_for
+        from .shard import shard_tiles_for
 
-        tiles = shard_train_tiles_for(self, capacity_su)
+        tiles = shard_tiles_for(self, capacity_su)
         if tiles:
-            # Banded sharded training step (O2_SHARD_TRAIN): same layers,
-            # same stacked edges, bit-identical outputs and gradients --
-            # see repro.core.shard_train.
+            # Metropolis-scale banded forward, training and eval alike:
+            # same layers, same stacked edges, bit-identical outputs (and
+            # gradients in training) -- see repro.core.shard_train.
             from .shard_train import apply_layers_banded
 
             h, z, q = apply_layers_banded(self, edges, h, z, q, tiles)
@@ -554,9 +553,10 @@ class HeteroRecommender(Module):
         every online query (see :mod:`repro.serve`).
 
         Fast-path execution runs one batched pass over the period-stacked
-        graph.  With period batching off (:func:`set_batch_periods`), the
-        P periods run one after another through :meth:`_propagate` -- the
-        per-period composition the batched pass is tested against.
+        graph (banded above the :mod:`repro.core.shard` gate).  With period
+        batching off (:func:`set_batch_periods`), the P periods run one
+        after another through :meth:`_propagate` -- the per-period
+        composition the batched pass is tested against.
         """
         periods = list(TimePeriod)
         if not fast_kernels_enabled():
@@ -565,14 +565,6 @@ class HeteroRecommender(Module):
                 cap = capacity_su.get(period) if capacity_su else None
                 out[period] = self._propagate(period, cap)
             return out
-
-        from .shard import propagate_periods_sharded, shard_tiles_for
-
-        tiles = shard_tiles_for(self, capacity_su)
-        if tiles:
-            # Metropolis-scale eval: fan the aggregation out over grid-tile
-            # workers; bit-identical to the per-period path below.
-            return propagate_periods_sharded(self, capacity_su, tiles)
 
         if not batch_periods_enabled():
             h0, z0, q0 = self._fuse_base()  # shared across periods
@@ -603,14 +595,8 @@ class HeteroRecommender(Module):
         capacity_su: Optional[Dict[TimePeriod, Tensor]] = None,
     ) -> Tensor:
         """Predict normalised order counts for (store-node, type) pairs."""
-        from .shard import shard_tiles_for
-
         periods = list(TimePeriod)
-        if (
-            fast_kernels_enabled()
-            and batch_periods_enabled()
-            and not shard_tiles_for(self, capacity_su)
-        ):
+        if fast_kernels_enabled() and batch_periods_enabled():
             # Batched path: gather all periods' pair rows straight from the
             # stacked embeddings with period-offset indices -- one gather
             # per node family instead of one per family per period.

@@ -1,16 +1,18 @@
-"""Banded sharded *training*: the full step, bit-identical to the reference.
+"""The banded forward (and training backward), bit-identical to the dense loop.
 
-:mod:`repro.core.shard` fans evaluation out over grid row bands;
-this module extends the same banding to the training step -- forward
-*recording* per-band autograd state and a halo-synchronised banded
-backward -- while reproducing the default period-batched training path
-(:meth:`HeteroRecommender._propagate_batched`) byte for byte.
+Above the :func:`repro.core.shard.shard_tiles_for` gate, the period-batched
+propagation (:meth:`HeteroRecommender._propagate_batched`) runs its
+node-level layers here as a sweep over grid row bands, byte for byte the
+dense layer loop.  Training and evaluation share the forward; training
+additionally records per-band autograd state and a halo-synchronised
+banded backward, evaluation detaches after every layer and records
+nothing.
 
 What is banded
 --------------
 The batched forward stacks all periods into one block-diagonal graph whose
 destination-sorted edge arrays stay *globally* sorted under the period
-offsets, so the eval row-band partition extends to ``periods x tiles``
+offsets, so a grid row-band partition extends to ``periods x tiles``
 bands (:func:`repro.graphs.partition.stacked_band_cuts`).  For each layer,
 the three destination-sorted relations -- type->store (``sa_to_s``),
 customer->store (``su``) and type->customer (``ua``) -- run as **one
@@ -19,12 +21,11 @@ reference's three-node chain (edge projection -> fused message -> segment
 attention) over the full edge set:
 
 * **forward**: each band recomputes its block-cover edge projection, fused
-  messages and keys (:func:`repro.core.shard._band_aggregate` -- the very
-  kernels sharded eval runs), and only the stitched ``(N, H*hd)`` value
-  plus its relu sign mask are recorded.  The reference path pins the
-  ``(E, F)`` relu mask and the ``(E, H)`` attention weights/leaky slopes
-  of every relation of every layer until backward; the banded tape pins
-  none of that -- the peak-RSS reduction measured in
+  messages and keys (:func:`_band_aggregate`), and only the stitched
+  ``(N, H*hd)`` value plus its relu sign mask are recorded.  The reference
+  path pins the ``(E, F)`` relu mask and the ``(E, H)`` attention
+  weights/leaky slopes of every relation of every layer until backward;
+  the banded tape pins none of that -- the peak-RSS reduction measured in
   ``BENCH_shard_train.json``.
 * **backward**: the fused messages are rebuilt once full-range (the same
   checkpoint expressions the reference backward replays), then each band
@@ -78,6 +79,7 @@ from ..graphs.partition import (
     stacked_band_cuts,
 )
 from ..parallel import in_process_worker, num_procs, process_map
+from ..serve.arena import open_raw_arena, save_raw_arena
 from ..tensor import Tensor
 from ..tensor import cnative as _cnative
 from ..tensor import plan as _plan
@@ -89,7 +91,6 @@ from ..tensor.ops import (
     matmul_grad_blocked,
 )
 from ..tensor.segment import get_plan
-from .shard import _NEGATIVE_SLOPE, _band_aggregate, _worker_arena
 
 __all__ = [
     "apply_layers_banded",
@@ -129,6 +130,136 @@ def shard_train_stats() -> dict:
 def reset_shard_train_stats() -> None:
     for key in _stats:
         _stats[key] = 0.0 if key == "worker_peak_rss_mb" else 0
+
+
+_NEGATIVE_SLOPE = 0.2
+
+
+def _cover(e0: int, e1: int, num_edges: int) -> Tuple[int, int]:
+    """Block cover of an edge window (see ``matmul_blocked``)."""
+    b0 = (e0 // MATMUL_BLOCK) * MATMUL_BLOCK
+    b1 = min(-(-e1 // MATMUL_BLOCK) * MATMUL_BLOCK, num_edges)
+    return b0, b1
+
+
+# ---------------------------------------------------------------------------
+# Band forward values (no autograd), mirroring repro.tensor.ops expression by
+# expression -- the stitched band values are the bytes of the dense ops.
+# ---------------------------------------------------------------------------
+
+
+def _attention_value(
+    keys: np.ndarray,
+    q_we: np.ndarray,
+    ids: np.ndarray,
+    num_segments: int,
+    scale: float,
+    att_state: Optional[dict] = None,
+) -> np.ndarray:
+    """Forward of :func:`repro.tensor.ops.segment_attention`, values only.
+
+    ``att_state`` optionally receives the compiled kernel's attention
+    ``weights``/``leaky`` intermediates: banded training stashes them per
+    band so its backward can skip the softmax recompute (the stash holds
+    the exact bytes the recompute would produce).  The stash buffers are
+    caller-owned allocations so the scratch pool never recycles them.
+    """
+    num_edges, num_heads, head_dim = keys.shape
+    out_dim = num_heads * head_dim
+    plan = get_plan(ids, num_segments)
+    if _cnative.available():
+        q_c = np.ascontiguousarray(q_we)
+        if att_state is not None:
+            weights_c = np.empty((num_edges, num_heads))
+            leaky_c = np.empty((num_edges, num_heads))
+            agg = _pool.zeros((num_segments, out_dim), tag="c-att-agg")
+            _cnative.seg_att_fwd(
+                keys, q_c, plan, scale, _NEGATIVE_SLOPE,
+                out=(weights_c, leaky_c, agg),
+            )
+            att_state["weights"] = weights_c
+            att_state["leaky"] = leaky_c
+        else:
+            _, _, agg = _cnative.seg_att_fwd(
+                keys, q_c, plan, scale, _NEGATIVE_SLOPE
+            )
+        return np.multiply(agg, agg > 0)
+    q_edge = q_we[ids]
+    scores = np.einsum("ehd,ehd->eh", keys, q_edge)
+    scores = np.multiply(scores, scale)
+    leaky = np.where(scores > 0, 1.0, _NEGATIVE_SLOPE)
+    act = np.multiply(scores, leaky)
+    sorted_scores = plan.sort(act)
+    seg_max = plan.max_sorted(sorted_scores)
+    spread_max = plan.spread_runs(seg_max)
+    shifted = np.subtract(sorted_scores, spread_max)
+    exp = np.exp(shifted)
+    seg_sum = plan.sum_sorted(exp)
+    spread_sum = plan.spread_runs(seg_sum)
+    weights = plan.unsort(np.divide(exp, spread_sum))
+    weighted = np.multiply(keys, weights[:, :, None])
+    agg = plan.sum(weighted.reshape(num_edges, out_dim))
+    return np.multiply(agg, agg > 0)
+
+
+def _band_aggregate(
+    dst: np.ndarray,
+    src: np.ndarray,
+    attr: np.ndarray,
+    w_edge: np.ndarray,
+    pre: np.ndarray,
+    bias: np.ndarray,
+    key_w: np.ndarray,
+    q_we: np.ndarray,
+    extras,
+    lo: int,
+    n_band: int,
+    num_heads: int,
+    head_dim: int,
+    scale: float,
+    edge_range: Optional[Tuple[int, int]] = None,
+    ids: Optional[np.ndarray] = None,
+    att_state: Optional[dict] = None,
+) -> np.ndarray:
+    """One relation's attention rows for targets ``[lo, lo + n_band)``.
+
+    ``dst`` must be sorted ascending unless ``edge_range`` pins the edge
+    window explicitly.  The edge-attribute and key projections run over
+    the *block cover* of the window -- the smallest span of absolute
+    :data:`~repro.tensor.ops.MATMUL_BLOCK` blocks containing it -- so their
+    bytes match the unbanded ``matmul_blocked`` output row for row.
+    ``ids`` may pass the band-local segment ids (``dst[e0:e1] - lo``)
+    precomputed -- the band tables cache them so the ``SegmentPlan``
+    identity cache hits on every step.
+    """
+    out_dim = num_heads * head_dim
+    if n_band <= 0:
+        return np.zeros((0, out_dim))
+    num_edges = dst.shape[0]
+    if num_edges == 0:
+        return np.zeros((n_band, out_dim))
+    if edge_range is None:
+        e0, e1 = np.searchsorted(dst, (lo, lo + n_band))
+        e0, e1 = int(e0), int(e1)
+    else:
+        e0, e1 = edge_range
+    if e1 <= e0:
+        return np.zeros((n_band, out_dim))
+    b0, b1 = _cover(e0, e1, num_edges)
+    eproj = matmul_blocked(attr[b0:b1], w_edge)
+    idx = np.asarray(src[b0:b1], dtype=np.int64)
+    extras_loc = [
+        (values, np.asarray(index[b0:b1], dtype=np.int64))
+        for values, index in extras
+    ]
+    fused = edge_message_value(pre, eproj, bias, idx, extras_loc)
+    keys_flat = matmul_blocked(fused, key_w)
+    keys = keys_flat[e0 - b0 : e1 - b0].reshape(e1 - e0, num_heads, head_dim)
+    if ids is None:
+        ids = np.asarray(dst[e0:e1], dtype=np.int64) - lo
+    return _attention_value(
+        keys, q_we[lo : lo + n_band], ids, n_band, scale, att_state=att_state
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -252,13 +383,6 @@ def _band_att_backward(
 _MIN_BAND_ROWS = 8 * MATMUL_BLOCK
 
 
-def _cover(e0: int, e1: int, num_edges: int) -> Tuple[int, int]:
-    """Block cover of an edge window (see ``matmul_blocked``)."""
-    b0 = (e0 // MATMUL_BLOCK) * MATMUL_BLOCK
-    b1 = min(-(-e1 // MATMUL_BLOCK) * MATMUL_BLOCK, num_edges)
-    return b0, b1
-
-
 # ---------------------------------------------------------------------------
 # Fan-out worker tasks.  Everything round-varying travels through the two
 # mmap arenas (static: per fit; round: per layer per step) plus the pickled
@@ -269,6 +393,21 @@ def _cover(e0: int, e1: int, num_edges: int) -> Tuple[int, int]:
 #   round:   pre_<rel>, qwe_<rel>, we_<rel>, bias_<rel>, keyw_<rel>,
 #            x0_<rel>/x1_<rel> (projected capacity tables)
 # ---------------------------------------------------------------------------
+
+# Opened arenas keyed by path; the persistent pool's workers reopen only
+# when the master publishes a new round.
+_WORKER_ARENAS: Dict[str, Tuple[dict, Dict[str, np.ndarray]]] = {}
+
+
+def _worker_arena(path: str) -> Tuple[dict, Dict[str, np.ndarray]]:
+    entry = _WORKER_ARENAS.get(path)
+    if entry is None:
+        if len(_WORKER_ARENAS) >= 8:
+            _WORKER_ARENAS.clear()
+        entry = open_raw_arena(path)
+        _WORKER_ARENAS[path] = entry
+    return entry
+
 
 def _worker_rel(stat, rnd, meta, rel):
     want_c = bool(meta["c_kernels"])
@@ -400,8 +539,6 @@ def _static_arena_path(rels: dict, cuts: dict, meta_extra: dict) -> str:
     the kernel backend and the per-relation band cuts join it because
     workers read both from this arena's metadata.
     """
-    from ..serve.arena import save_raw_arena
-
     key = tuple(
         [id(r["dst"]) for r in rels.values()]
         + [tuple(int(c) for c in cuts[rel]) for rel in sorted(cuts)]
@@ -431,8 +568,6 @@ def _static_arena_path(rels: dict, cuts: dict, meta_extra: dict) -> str:
 
 
 def _publish_round(arrays: Dict[str, np.ndarray]) -> str:
-    from ..serve.arena import save_raw_arena
-
     global _round_serial
     _round_serial += 1
     tmpdir = tempfile.mkdtemp(prefix=f"o2shardtrain-r{_round_serial}-")
@@ -908,12 +1043,15 @@ def _serial_values(
     bands: List[tuple],
     agg,
     stash: Optional[list] = None,
+    stats: dict = _stats,
 ) -> np.ndarray:
     """In-process band sweep of one relation's forward values.
 
     ``stash`` (one slot per band) receives each band's attention
     ``(weights, leaky)`` intermediates so the banded backward can skip
     the softmax recompute -- identical bytes, one kernel pass saved.
+    ``stats`` receives the band and halo counts (a scratch dict for eval
+    passes, which the training counters do not count).
     """
     out_dim = agg.num_heads * agg.head_dim
     prelude = rel_spec["prelude"]
@@ -942,13 +1080,13 @@ def _serial_values(
         )
         if stash is not None and slot:
             stash[band_i] = (slot["weights"], slot["leaky"])
-        _stats["bands"] += 1
+        stats["bands"] += 1
         b0, b1 = _cover(e0, e1, rel_spec["dst"].shape[0]) if e1 > e0 else (
             e0,
             e1,
         )
-        _stats["halo_rows"] += (e0 - b0) + (b1 - e1)
-        _stats["halo_bytes"] += (
+        stats["halo_rows"] += (e0 - b0) + (b1 - e1)
+        stats["halo_bytes"] += (
             ((e0 - b0) + (b1 - e1)) * prelude["w_e"].shape[1] * 8
         )
     return value
@@ -962,12 +1100,17 @@ def _serial_values(
 def apply_layers_banded(
     recommender, edges, h: Tensor, z: Tensor, q: Tensor, tiles: int
 ) -> Tuple[Tensor, Tensor, Tensor]:
-    """Run the node-level layers over row bands, recording banded backward.
+    """Run the node-level layers over row bands.
 
     Drop-in replacement for the layer loop of
     :meth:`HeteroRecommender._propagate_batched` when
-    :func:`repro.core.shard.shard_train_tiles_for` engages: identical
-    inputs, bit-identical outputs, loss curves and parameter gradients.
+    :func:`repro.core.shard.shard_tiles_for` engages: identical inputs,
+    bit-identical outputs.  In training mode each banded relation records
+    the banded backward (bit-identical loss curves and parameter
+    gradients) and the pass counts in :func:`shard_train_stats`.  In eval
+    mode the same band sweep runs with no banded autograd node, no
+    attention stash and no counting, and ``h, z, q`` are detached after
+    every layer so no tape outlives it.
     """
     if _plan.tracing():
         # Fail-soft compile_step interplay: the banded backward closes over
@@ -980,6 +1123,9 @@ def apply_layers_banded(
     periods = len(TimePeriod)
     rows, cols = recommender.grid_shape
     use_pref = recommender.use_preferences
+    training = recommender.training
+    # Eval passes count into a scratch copy: the counters describe training.
+    stats = _stats if training else dict(_stats)
 
     def rel_cuts(num_edges: int, regions, num_nodes: int, kind: str):
         # Per-relation band count: the gate's tile count sizes the largest
@@ -1023,7 +1169,7 @@ def apply_layers_banded(
         )
         bands_su = _band_table(edges.su_dst_s, cuts["su"])
         bands_u = _band_table(edges.ua_dst_u, cuts["ua"])
-    _stats["steps"] += 1
+    stats["steps"] += 1
     _drop_round_dirs()
 
     workers = num_procs()
@@ -1131,7 +1277,7 @@ def apply_layers_banded(
                 for rel, spec in rel_specs.items()
                 for band in range(len(spec["bands"]))
             ]
-            _stats["fanout_tasks"] += len(tasks)
+            stats["fanout_tasks"] += len(tasks)
             results = process_map(
                 _fwd_task, tasks, procs=workers, chunksize=1, persistent=True
             )
@@ -1141,27 +1287,29 @@ def apply_layers_banded(
                     (spec["prelude"]["q_we"].shape[0], out_dim)
                 )
             for rel, band, band_value, rss in results:
-                _stats["worker_peak_rss_mb"] = max(
-                    _stats["worker_peak_rss_mb"], rss
+                stats["worker_peak_rss_mb"] = max(
+                    stats["worker_peak_rss_mb"], rss
                 )
                 lo, hi, _e0, _e1, _ids = rel_specs[rel]["bands"][band]
                 values[rel][lo:hi] = band_value
-                _stats["exchange_bytes"] += band_value.nbytes
-                _stats["bands"] += 1
+                stats["exchange_bytes"] += band_value.nbytes
+                stats["bands"] += 1
         else:
             fanout_ctx = None
             for rel, spec in rel_specs.items():
                 stash = (
                     [None] * len(spec["bands"])
-                    if _cnative.available()
+                    if training and _cnative.available()
                     else None
                 )
                 values[rel] = _serial_values(
-                    spec, spec["bands"], spec["agg"], stash=stash
+                    spec, spec["bands"], spec["agg"], stash=stash, stats=stats
                 )
                 spec["att_stash"] = stash
 
         def banded(rel: str) -> Tensor:
+            if not training:
+                return Tensor(values[rel])
             spec = rel_specs[rel]
             return _banded_attention(
                 spec["agg"],
@@ -1192,5 +1340,8 @@ def apply_layers_banded(
             z_new = layer.w_u(z).relu()
         agg_a = layer.sa_to_a(q, h, edges.sa_src_s, edges.sa_dst_a, edges.sa_attr)
         q_new = layer.w_a(agg_a + q).relu()
-        h, z, q = h_new, z_new, q_new
+        if training:
+            h, z, q = h_new, z_new, q_new
+        else:
+            h, z, q = h_new.detach(), z_new.detach(), q_new.detach()
     return h, z, q

@@ -202,7 +202,7 @@ def band_node_splits(
     ``tiles + 1`` region-id cut points (``row_splits * cols`` for a row-band
     partition).  Returns ``tiles + 1`` int64 node-index cuts such that band
     ``t`` owns nodes ``[splits[t], splits[t + 1])``.  Raises when the bands
-    would not tile the node set exactly -- every consumer (sharded eval
+    would not tile the node set exactly -- every consumer (banded forward
     stitches, banded training gradients) relies on the stitched rows
     covering ``[0, n)`` with no gaps or overlap, which requires the node
     list sorted by region id (the graph builder guarantees it).

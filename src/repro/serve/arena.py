@@ -82,12 +82,12 @@ def save_raw_arena(
     """Write named arrays + JSON-able metadata as one arena file.
 
     The generic writer under :func:`save_arena`, also used directly by the
-    sharded-propagation executor (:mod:`repro.core.shard`) to publish
+    forked banded forward (:mod:`repro.core.shard_train`) to publish
     read-only feature tables that forked workers ``mmap`` instead of
     unpickling.  ``extra_header`` entries are merged into the top-level
     JSON header (the snapshot path stores ``snapshot_id`` there).  The
     write is atomic (temp file + ``os.replace``); ``durable=False`` skips
-    the ``fsync`` for scratch arenas whose lifetime is one propagate call
+    the ``fsync`` for scratch arenas whose lifetime is one layer round
     -- crash consistency is irrelevant there and the sync would stall the
     round on metropolis-sized tables.
     """

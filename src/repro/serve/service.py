@@ -425,7 +425,7 @@ class RecommendationService:
             "max_batch_size": self._batcher.max_batch_size,
             "batch_window_ms": self._batcher.batch_window_s * 1e3,
         }
-        # Why grid-tile sharding is (not) engaged in this process: surfaced
+        # Why the banded forward is (not) engaged in this process: surfaced
         # here so operators can tell a deliberate dense run from a silently
         # missed gate (e.g. reference kernels forced on, grid too small).
         from ..core.shard import shard_gate_reason, shard_train_gate_reason

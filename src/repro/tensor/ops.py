@@ -42,7 +42,7 @@ from .tensor import ArrayLike, Tensor, as_tensor, unbroadcast
 # subset does not reproduce the full-matrix bytes.  Evaluating in fixed
 # blocks anchored at absolute row offsets makes every output row a pure
 # function of its own block's input bytes -- any process recomputing the
-# covering blocks of a row range (repro.core.shard workers) gets results
+# covering blocks of a row range (repro.core.shard_train bands) gets results
 # bit-identical to the full single-process evaluation.
 MATMUL_BLOCK = 4096
 

@@ -1,11 +1,15 @@
-"""Sharded propagation (``repro.core.shard``): bit-identity and gating.
+"""Banded eval propagation (``repro.core.shard`` gate): bit-identity.
 
-The executor's contract is the strongest the repo makes: the stitched
-per-tile result must be **byte-for-byte** the unsharded per-period
-reference, across the ablation grid (capacity / preferences / C kernels),
-across serial in-process and forked-pool execution, and through a whole
-training ``fit`` (loss curves + final parameter fingerprint).  Anything
-weaker would let the metropolis path drift from the paper's model.
+Above the gate, eval runs the training step's banded forward with no
+backward recorded.  Its contract is the strongest the repo makes: the
+stitched band result must be **byte-for-byte** the dense period-batched
+eval (``tiles=0``) -- the propagated embeddings, ``model.predict`` and the
+snapshot fingerprint -- across the ablation grid (capacity / preferences /
+C kernels), band counts, serial in-process and forked-pool execution, and
+through a whole training ``fit`` (loss curves + final parameter
+fingerprint).  Anything weaker would let the metropolis path drift from
+the paper's model.  The per-period composition stays the batched path's
+own oracle (``tests/test_fast_kernels.py::test_batched_matches_per_period``).
 """
 
 from __future__ import annotations
@@ -50,46 +54,52 @@ def _sha_periods(out) -> str:
     return digest.hexdigest()
 
 
-def _propagate_sha(model, tiles: int, procs: int) -> str:
+def _eval_fingerprint(model, pairs, tiles: int, procs: int):
+    """Propagation sha, ``predict`` bytes and snapshot id at ``tiles``."""
+    from repro.serve.snapshot import ModelSnapshot
+
     shard.set_shard_tiles(tiles)
     parallel.set_num_procs(procs)
     capacity_su, _ = model._capacity_pass()
-    return _sha_periods(model.recommender.propagate_periods(capacity_su))
+    sha = _sha_periods(model.recommender.propagate_periods(capacity_su))
+    engaged = shard.shard_gate_reason().startswith("engaged")
+    assert engaged == (tiles > 1), shard.shard_gate_reason()
+    snapshot_id = ModelSnapshot.from_model(model, shard_tiles=tiles).snapshot_id
+    return sha, model.predict(pairs).tobytes(), snapshot_id
 
 
 @pytest.mark.parametrize("variant", ["full", "wo_co", "wo_cocu"])
-def test_sharded_bitwise_equals_unsharded(dataset, variant):
+def test_sharded_bitwise_equals_unsharded(dataset, split, variant):
     config = O2SiteRecConfig()
     if variant == "wo_co":
         config = config.without_capacity()
     elif variant == "wo_cocu":
         config = config.without_capacity_and_preferences()
-    set_batch_periods(False)
     model = O2SiteRec(dataset, config=config)
     model.eval()
-    reference = _propagate_sha(model, tiles=0, procs=0)
-    assert _propagate_sha(model, tiles=3, procs=0) == reference
-    assert _propagate_sha(model, tiles=3, procs=2) == reference
+    pairs = split.test_pairs
+    reference = _eval_fingerprint(model, pairs, tiles=0, procs=0)
+    assert _eval_fingerprint(model, pairs, tiles=3, procs=0) == reference
+    assert _eval_fingerprint(model, pairs, tiles=3, procs=2) == reference
     # Non-divisible band count and the maximum (one band per grid row).
-    assert _propagate_sha(model, tiles=5, procs=0) == reference
+    assert _eval_fingerprint(model, pairs, tiles=5, procs=0) == reference
     rows = model.recommender.grid_shape[0]
-    assert _propagate_sha(model, tiles=rows, procs=0) == reference
+    assert _eval_fingerprint(model, pairs, tiles=rows, procs=0) == reference
 
 
 @pytest.mark.skipif(not cnative.available(), reason="C kernels not built")
-def test_sharded_bitwise_without_c_kernels(dataset):
-    set_batch_periods(False)
+def test_sharded_bitwise_without_c_kernels(dataset, split):
     cnative.set_c_kernels(False)
     model = O2SiteRec(dataset)
     model.eval()
-    reference = _propagate_sha(model, tiles=0, procs=0)
-    assert _propagate_sha(model, tiles=3, procs=0) == reference
-    assert _propagate_sha(model, tiles=3, procs=2) == reference
+    pairs = split.test_pairs
+    reference = _eval_fingerprint(model, pairs, tiles=0, procs=0)
+    assert _eval_fingerprint(model, pairs, tiles=3, procs=0) == reference
+    assert _eval_fingerprint(model, pairs, tiles=3, procs=2) == reference
 
 
 def test_fit_identical_with_sharded_eval(dataset, split):
-    """Loss curves and final parameters survive sharded eval untouched."""
-    set_batch_periods(False)
+    """Loss curves and final parameters survive banded train + eval."""
     pairs = split.train_pairs
     targets = dataset.pair_targets(pairs)
 
@@ -116,18 +126,30 @@ def test_fit_identical_with_sharded_eval(dataset, split):
     assert sharded[2] == unsharded[2]  # parameter bytes
 
 
-def test_gate_off_below_threshold_and_in_training(dataset):
+def test_gate_below_threshold_and_mode_reasons(dataset):
     model = O2SiteRec(dataset)
     rec = model.recommender
     model.eval()
     # Auto gate: the tiny grid sits far below O2_SHARD_MIN_REGIONS.
     assert shard.shard_tiles_for(rec) == 0
-    # Forced on -- then training mode must still win.
+    assert "O2_SHARD_MIN_REGIONS" in shard.shard_gate_reason()
+    # Forced on: one gate for both modes; the mode only picks the reason
+    # slot it records into.
     shard.set_shard_tiles(3)
     assert shard.shard_tiles_for(rec) == 3
+    assert "engaged" in shard.shard_gate_reason()
     model.train()
+    shard.set_shard_tiles(0)
     assert shard.shard_tiles_for(rec) == 0
+    assert "O2_SHARD_MIN_REGIONS" in shard.shard_train_gate_reason()
+    assert "engaged" in shard.shard_gate_reason()  # eval slot untouched
     model.eval()
+    # Period batching off: the per-period composition runs unbanded.
+    shard.set_shard_tiles(3)
+    set_batch_periods(False)
+    assert shard.shard_tiles_for(rec) == 0
+    assert "period batching off" in shard.shard_gate_reason()
+    set_batch_periods(True)
     # tiles <= 1 disables; tile counts are clamped to the grid rows.
     shard.set_shard_tiles(1)
     assert shard.shard_tiles_for(rec) == 0
@@ -168,7 +190,6 @@ def test_snapshot_from_sharded_build_matches(dataset, split):
     from repro.nn import init
     from repro.serve.snapshot import ModelSnapshot
 
-    set_batch_periods(False)
     init.seed(0)
     model = O2SiteRec(dataset, split=split)
     model.eval()

@@ -1,8 +1,8 @@
 """Banded sharded training (``repro.core.shard_train``): bit-identity.
 
-The training extension inherits the eval executor's contract and raises it:
-not just forward values but **loss curves and every parameter byte** must
-match the dense reference step -- across band counts, serial and forked
+The training step raises the banded forward's contract: not just forward
+values but **loss curves and every parameter byte** must match the dense
+step (``shard_tiles=0``) -- across band counts, serial and forked
 execution, kernel backends and the buffer-pool ablation -- because the
 banded backward re-derives the reference gradients from per-band
 recomputation plus block-deterministic master-side reductions.
@@ -34,8 +34,6 @@ def _restore_toggles():
     """Every test leaves the global shard/pool/batching state untouched."""
     prev_tiles = shard.set_shard_tiles(None)
     shard.set_shard_tiles(prev_tiles)
-    prev_train = shard.set_shard_train(None)
-    shard.set_shard_train(prev_train)
     prev_procs = parallel.set_num_procs(None)
     parallel.set_num_procs(prev_procs)
     prev_c = cnative.set_c_kernels(True)
@@ -46,7 +44,6 @@ def _restore_toggles():
     set_batch_periods(prev_bp)
     yield
     shard.set_shard_tiles(prev_tiles)
-    shard.set_shard_train(prev_train)
     parallel.set_num_procs(prev_procs)
     cnative.set_c_kernels(prev_c)
     pool.set_buffer_pool(prev_pool)
@@ -60,8 +57,8 @@ def _params_sha(model) -> str:
     return digest.hexdigest()
 
 
-def _fit_fingerprint(dataset, split, pairs, targets, *, shard_train_on,
-                     tiles=3, procs=0, compile_step=False):
+def _fit_fingerprint(dataset, split, pairs, targets, *, tiles,
+                     procs=0, compile_step=False):
     init.seed(0)
     prev = parallel.set_num_procs(procs)
     try:
@@ -69,7 +66,7 @@ def _fit_fingerprint(dataset, split, pairs, targets, *, shard_train_on,
         trainer = Trainer(
             model,
             TrainConfig(epochs=2, min_epochs=1, seed=0, shard_tiles=tiles,
-                        shard_train=shard_train_on, compile_step=compile_step),
+                        compile_step=compile_step),
         )
         result = trainer.fit(pairs, targets)
     finally:
@@ -85,18 +82,16 @@ def _fit_fingerprint(dataset, split, pairs, targets, *, shard_train_on,
 def test_banded_training_fit_bitwise(dataset, split):
     """Dense vs banded fits: loss curves and parameter bytes, float-exact.
 
-    Eval sharding is pinned identically in both legs so the only moving
-    part is the training step; the banded leg is checked serial at two
-    band counts and through the forked worker pool.
+    The reference leg pins ``shard_tiles=0`` (dense training steps and
+    dense eval); the banded leg is checked serial at two band counts and
+    through the forked worker pool.
     """
     pairs = split.train_pairs
     targets = dataset.pair_targets(pairs)
-    reference = _fit_fingerprint(dataset, split, pairs, targets,
-                                 shard_train_on=False)
+    reference = _fit_fingerprint(dataset, split, pairs, targets, tiles=0)
 
     shard_train.reset_shard_train_stats()
-    banded = _fit_fingerprint(dataset, split, pairs, targets,
-                              shard_train_on=True)
+    banded = _fit_fingerprint(dataset, split, pairs, targets, tiles=3)
     stats = shard_train.shard_train_stats()
     assert stats["steps"] > 0, "training gate did not engage"
     assert stats["nodes"] > 0 and stats["bands"] > 0
@@ -104,10 +99,10 @@ def test_banded_training_fit_bitwise(dataset, split):
 
     # Non-divisible band count and the forked persistent pool.
     assert _fit_fingerprint(dataset, split, pairs, targets,
-                            shard_train_on=True, tiles=5) == reference
+                            tiles=5) == reference
     shard_train.reset_shard_train_stats()
     forked = _fit_fingerprint(dataset, split, pairs, targets,
-                              shard_train_on=True, procs=2)
+                              tiles=3, procs=2)
     assert forked == reference
     stats = shard_train.shard_train_stats()
     assert stats["fanout_tasks"] > 0, "forked leg did not fan out"
@@ -121,21 +116,19 @@ def test_banded_training_fit_bitwise_reference_kernels(dataset, split):
     pairs = split.train_pairs
     targets = dataset.pair_targets(pairs)
     cnative.set_c_kernels(False)
-    reference = _fit_fingerprint(dataset, split, pairs, targets,
-                                 shard_train_on=False)
+    reference = _fit_fingerprint(dataset, split, pairs, targets, tiles=0)
     assert _fit_fingerprint(dataset, split, pairs, targets,
-                            shard_train_on=True) == reference
+                            tiles=3) == reference
 
 
 def test_banded_training_fit_bitwise_pool_off(dataset, split):
     """The buffer pool is value-transparent under banded training too."""
     pairs = split.train_pairs
     targets = dataset.pair_targets(pairs)
-    reference = _fit_fingerprint(dataset, split, pairs, targets,
-                                 shard_train_on=False)
+    reference = _fit_fingerprint(dataset, split, pairs, targets, tiles=0)
     pool.set_buffer_pool(False)
     assert _fit_fingerprint(dataset, split, pairs, targets,
-                            shard_train_on=True) == reference
+                            tiles=3) == reference
 
 
 def test_single_step_all_param_grads_bitwise(dataset, split):
@@ -147,8 +140,7 @@ def test_single_step_all_param_grads_bitwise(dataset, split):
         init.seed(0)
         model = O2SiteRec(dataset, split=split)
         model.train()
-        prev_tiles = shard.set_shard_tiles(3)
-        prev_train = shard.set_shard_train(banded)
+        prev_tiles = shard.set_shard_tiles(3 if banded else 0)
         opt = Adam(model.parameters(), lr=3e-3, weight_decay=1e-5)
         try:
             opt.zero_grad()
@@ -156,7 +148,6 @@ def test_single_step_all_param_grads_bitwise(dataset, split):
             loss.backward(free_graph=True)
         finally:
             shard.set_shard_tiles(prev_tiles)
-            shard.set_shard_train(prev_train)
         grads = [
             None if p.grad is None else p.grad.copy()
             for p in model.parameters()
@@ -290,7 +281,7 @@ def test_synthetic_multiblock_reference_kernels():
 def test_train_gate_declines_without_recommender():
     # Baseline models carry no recommender attribute; the Trainer guard
     # passes None and the gate must decline instead of raising.
-    assert shard.shard_train_tiles_for(None) == 0
+    assert shard.shard_tiles_for(None) == 0
     assert "no recommender" in shard.shard_train_gate_reason()
 
 
@@ -298,30 +289,21 @@ def test_train_gate_reasons(dataset):
     model = O2SiteRec(dataset)
     rec = model.recommender
     shard.set_shard_tiles(3)
-
-    model.eval()
-    assert shard.shard_train_tiles_for(rec) == 0
-    assert "evaluation mode" in shard.shard_train_gate_reason()
-
     model.train()
-    shard.set_shard_train(False)
-    assert shard.shard_train_tiles_for(rec) == 0
-    assert "disabled" in shard.shard_train_gate_reason()
 
-    shard.set_shard_train(None)
     set_batch_periods(False)
-    assert shard.shard_train_tiles_for(rec) == 0
+    assert shard.shard_tiles_for(rec) == 0
     assert "period batching off" in shard.shard_train_gate_reason()
 
     set_batch_periods(True)
-    tiles = shard.shard_train_tiles_for(rec)
+    tiles = shard.shard_tiles_for(rec)
     rows = rec.grid_shape[0]
     assert tiles == min(3, rows) and tiles > 1
     assert "engaged" in shard.shard_train_gate_reason()
 
     # Auto threshold: the tiny grid sits far below O2_SHARD_MIN_REGIONS.
     shard.set_shard_tiles(None)
-    assert shard.shard_train_tiles_for(rec) == 0
+    assert shard.shard_tiles_for(rec) == 0
     assert "O2_SHARD_MIN_REGIONS" in shard.shard_train_gate_reason()
 
     # Eval-side reason is recorded independently.
@@ -329,17 +311,7 @@ def test_train_gate_reasons(dataset):
     shard.set_shard_tiles(3)
     assert shard.shard_tiles_for(rec) > 1
     assert "engaged" in shard.shard_gate_reason()
-
-
-def test_use_shard_train_context(dataset):
-    model = O2SiteRec(dataset)
-    model.train()
-    shard.set_shard_tiles(3)
-    with shard.use_shard_train(False):
-        assert shard.shard_train_tiles_for(model.recommender) == 0
-    assert shard.shard_train_tiles_for(model.recommender) > 1
-    with shard.use_shard_train(None):  # None = no-op passthrough
-        assert shard.shard_train_tiles_for(model.recommender) > 1
+    assert "O2_SHARD_MIN_REGIONS" in shard.shard_train_gate_reason()
 
 
 # ---------------------------------------------------------------------------
@@ -391,22 +363,21 @@ def test_compiled_step_guard_flip_recaptures(dataset, split):
     init.seed(0)
     model = O2SiteRec(dataset, split=split)
     model.train()
-    shard.set_shard_tiles(3)
-    shard.set_shard_train(False)
+    shard.set_shard_tiles(0)
     opt = Adam(model.parameters(), lr=3e-3, weight_decay=1e-5)
     cs = _compiled_step(
         model,
         opt,
         guard_fn=lambda: (
             model.training,
-            bool(shard.shard_train_tiles_for(model.recommender)),
+            bool(shard.shard_tiles_for(model.recommender)),
         ),
     )
     _plan.reset_stats()
     try:
         assert cs.step(pairs, targets) is not None  # dense: captures a plan
         assert cs.stats()["plans"] == 1
-        shard.set_shard_train(True)  # gate flips on under the same plan
+        shard.set_shard_tiles(3)  # gate flips on under the same plan
         assert cs.step(pairs, targets) is not None  # evict + poisoned eager
         stats = cs.stats()
         assert stats["plans"] == 0
@@ -439,6 +410,22 @@ def test_memprof_reports_shard_train_counters(dataset, split):
     text = memprof.format_report(snap)
     assert "shard_train:" in text
     assert "shard gates:" in text
+
+
+def test_eval_pass_leaves_train_counters_unchanged(dataset, split):
+    """Banded eval passes do not count as banded training steps."""
+    init.seed(0)
+    model = O2SiteRec(dataset, split=split)
+    model.eval()
+    shard.set_shard_tiles(3)
+    for procs in (0, 2):
+        parallel.set_num_procs(procs)
+        before = shard_train.shard_train_stats()
+        capacity_su, _ = model._capacity_pass()
+        model.recommender.propagate_periods(capacity_su)
+        model.predict(split.test_pairs)
+        assert "engaged" in shard.shard_gate_reason()
+        assert shard_train.shard_train_stats() == before
 
 
 def test_memprof_plan_line_shows_shard_fallbacks(dataset, split):
