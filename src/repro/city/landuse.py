@@ -12,7 +12,7 @@ but not "the zoning plan".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import List, Tuple
 
 import numpy as np
 
@@ -130,22 +130,49 @@ def assign_archetypes(grid: RegionGrid, rng: np.random.Generator) -> np.ndarray:
     return (draws > cumulative).sum(axis=1).astype(np.int64)
 
 
+def _neighbor_groups(
+    grid: RegionGrid, radius_m: float = 800.0
+) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """Regions grouped by neighbour count: ``(regions, (n, k) neighbours)``.
+
+    Row ``i`` of a group's neighbour matrix is
+    ``grid.neighbors_within(regions[i], radius_m)`` in its order; regions
+    with no neighbour are left out.
+    """
+    src, dst, _ = grid.pair_arrays_within(radius_m)
+    counts = np.bincount(src, minlength=grid.num_regions)
+    starts = np.cumsum(counts) - counts
+    groups = []
+    for k in np.unique(counts[counts > 0]).tolist():
+        regions = np.flatnonzero(counts == k)
+        groups.append((regions, dst[starts[regions, None] + np.arange(k)]))
+    return groups
+
+
 def _smooth_field(
-    values: np.ndarray, grid: RegionGrid, passes: int = 2, radius_m: float = 800.0
+    values: np.ndarray,
+    groups: List[Tuple[np.ndarray, np.ndarray]],
+    passes: int = 2,
 ) -> np.ndarray:
     """Spatially smooth a per-region field by neighbourhood averaging.
 
     Real demand fields are spatially coherent (adjacent neighbourhoods share
     tastes and density); iid noise per region would destroy the strong
     preference-order correlation of Table II.
+
+    Each pass sets every region to ``0.5 * own + 0.5 * mean(neighbours)``
+    over the :func:`_neighbor_groups` of the grid.  The means are taken
+    one neighbour-count group at a time: ``mean(axis=1)`` over a group's
+    ``(n, k[, T])`` gather reduces each region's ``k`` neighbours in list
+    order, the same reduction the per-region ``mean(axis=0)`` runs, so the
+    field matches the per-region loop byte for byte
+    (``tests/test_grid_windows.py``).
     """
-    neighbors = [grid.neighbors_within(r, radius_m) for r in range(grid.num_regions)]
     out = np.asarray(values, dtype=np.float64).copy()
     for _ in range(passes):
         smoothed = out.copy()
-        for r, neigh in enumerate(neighbors):
-            if neigh:
-                smoothed[r] = 0.5 * out[r] + 0.5 * out[neigh].mean(axis=0)
+        for regions, neigh in groups:
+            smoothed[regions] = 0.5 * out[regions] + 0.5 * out[neigh].mean(axis=1)
         out = smoothed
     return out
 
@@ -155,6 +182,8 @@ def synthesize_land_use(config: CityConfig, rng: np.random.Generator) -> CityLan
     grid = RegionGrid(config.rows, config.cols, config.cell_size)
     archetype = assign_archetypes(grid, rng)
     n = grid.num_regions
+    # One neighbour structure for every smoothed field of this city.
+    groups = _neighbor_groups(grid)
 
     poi_means = np.array([_POI_PROFILE[ARCHETYPES[a]] for a in archetype])
     poi_counts = rng.poisson(poi_means).astype(np.float64)
@@ -165,15 +194,15 @@ def synthesize_land_use(config: CityConfig, rng: np.random.Generator) -> CityLan
 
     profile = np.array([_POPULATION_PROFILE[ARCHETYPES[a]] for a in archetype])
     scale = np.array([_POPULATION_SCALE[ARCHETYPES[a]] for a in archetype])
-    log_noise = _smooth_field(rng.normal(0.0, 0.35, size=n), grid)
-    base = config.base_population * _smooth_field(scale, grid) * np.exp(log_noise)
+    log_noise = _smooth_field(rng.normal(0.0, 0.35, size=n), groups)
+    base = config.base_population * _smooth_field(scale, groups) * np.exp(log_noise)
     population = base[:, None] * profile
 
     # Stores concentrate where demand is (market equilibrium): scale the
     # archetype intensity by relative population density.
     density = population.mean(axis=1)
     density_factor = density / max(density.mean(), 1e-9)
-    intensity_noise = np.exp(_smooth_field(rng.normal(0.0, 0.2, size=n), grid))
+    intensity_noise = np.exp(_smooth_field(rng.normal(0.0, 0.2, size=n), groups))
     intensity = (
         np.array([_COMMERCIAL_INTENSITY[ARCHETYPES[a]] for a in archetype])
         * density_factor
@@ -182,7 +211,7 @@ def synthesize_land_use(config: CityConfig, rng: np.random.Generator) -> CityLan
 
     taste = np.exp(
         _smooth_field(
-            rng.normal(0.0, 0.5, size=(n, config.num_store_types)), grid
+            rng.normal(0.0, 0.5, size=(n, config.num_store_types)), groups
         )
     )
 

@@ -38,27 +38,50 @@ class _StoreIndex:
 
     indices: np.ndarray  # global store index per type member
     positions: np.ndarray  # (k, 2) metres
-    regions: np.ndarray  # (k,)
+    regions: np.ndarray  # (k,) non-decreasing
     qualities: np.ndarray  # (k,)
+    scopes: np.ndarray  # (k, P) delivery scope of each member's region
+    congestion: np.ndarray  # (k, P) congestion of each member's region
+    # (N + 1,): members of region r are table positions
+    # region_starts[r]:region_starts[r + 1].
+    region_starts: np.ndarray
 
 
-def _index_stores(stores: List[PlacedStore], num_types: int) -> List[_StoreIndex]:
+def _index_stores(
+    stores: List[PlacedStore],
+    num_types: int,
+    scopes: np.ndarray,
+    congestion: np.ndarray,
+) -> List[_StoreIndex]:
+    """Per-type tables; ``scopes`` is per region, ``congestion`` per store."""
     by_type: List[List[int]] = [[] for _ in range(num_types)]
     for i, s in enumerate(stores):
         by_type[s.record.store_type].append(i)
     result = []
-    for members in by_type:
+    for store_type, members in enumerate(by_type):
         members_arr = np.array(members, dtype=np.int64)
+        regions = np.array(
+            [stores[i].record.region for i in members], dtype=np.int64
+        )
+        if np.any(regions[1:] < regions[:-1]):
+            raise ValueError(
+                f"stores of type {store_type} are not listed in region order; "
+                "store choice slices each type's table by region "
+                "(place_stores emits stores region by region)"
+            )
         result.append(
             _StoreIndex(
                 indices=members_arr,
                 positions=np.array([[stores[i].x, stores[i].y] for i in members])
                 if members
                 else np.zeros((0, 2)),
-                regions=np.array(
-                    [stores[i].record.region for i in members], dtype=np.int64
-                ),
+                regions=regions,
                 qualities=np.array([stores[i].quality for i in members]),
+                scopes=scopes[regions],
+                congestion=congestion[members_arr],
+                region_starts=np.searchsorted(
+                    regions, np.arange(len(scopes) + 1)
+                ),
             )
         )
     return result
@@ -133,7 +156,6 @@ class OrderGenerator:
         self.stores = stores
         self.fleet = fleet
         self.rng = rng
-        self._store_index = _index_stores(stores, config.num_store_types)
         self._centroids = land.grid.centroids()
         # Sticky regional taste: shared with store placement (see landuse).
         self._taste = land.taste
@@ -150,6 +172,14 @@ class OrderGenerator:
         )
         self._congestion = fleet.congestion_matrix()[self._store_regions]
         self._scopes = fleet.scope_matrix()  # (N, P)
+        self._store_index = _index_stores(
+            stores, config.num_store_types, self._scopes, self._congestion
+        )
+        # Store-choice window: a store more than this many grid rows away
+        # from a customer region lies >= (reach + 0.5) cells from its
+        # centroid on the row axis alone, farther than the largest scope,
+        # so it can never be a candidate there.
+        self._reach = int(self._scopes.max() // config.cell_size) + 1
         self._choice_cache: LRUCache = LRUCache(
             maxsize=min(
                 land.num_regions * config.num_store_types * NUM_PERIODS,
@@ -200,22 +230,32 @@ class OrderGenerator:
 
         cfg = self.config
         centroid = self._centroids[region]
-        dists = np.sqrt(((table.positions - centroid) ** 2).sum(axis=1))
-        scopes = self._scopes[table.regions, int(period)]
-        within = dists <= scopes
-        if not within.any():
+        lo, hi = self._window(table, region)
+        # (x - cx)**2 + (y - cy)**2: the two-term sum that ``.sum(axis=1)``
+        # of the squared offsets computes, without a per-row reduction.
+        win = table.positions[lo:hi]
+        dists = np.sqrt(
+            (win[:, 0] - centroid[0]) ** 2 + (win[:, 1] - centroid[1]) ** 2
+        )
+        t = int(period)
+        local = (dists <= table.scopes[lo:hi, t]).nonzero()[0]
+        if len(local):
+            candidates = lo + local
+            d = dists[local]
+        else:
             # Fall back to the three nearest stores (platform always shows
-            # *something*, albeit with long delivery times).
-            within = np.zeros_like(within)
+            # *something*, albeit with long delivery times) -- nearest over
+            # the whole table, which can reach past the window.
+            dists = np.sqrt(((table.positions - centroid) ** 2).sum(axis=1))
+            within = np.zeros(len(dists), dtype=bool)
             within[np.argsort(dists)[:3]] = True
-
-        candidates = np.flatnonzero(within)
-        d = dists[candidates]
+            candidates = np.flatnonzero(within)
+            d = dists[candidates]
         est_time = (
             cfg.handling_minutes
             + d
             / cfg.courier_speed_m_per_min
-            * self._congestion[table.indices[candidates], int(period)]
+            * table.congestion[candidates, t]
         )
         weights = (
             table.qualities[candidates]
@@ -231,6 +271,19 @@ class OrderGenerator:
         entry = (candidates, probs, cdf, table.indices[candidates])
         self._choice_cache[key] = entry
         return entry
+
+    def _window(self, table: _StoreIndex, region: int) -> Tuple[int, int]:
+        """Table slice ``lo:hi`` of the stores within ``_reach`` grid rows.
+
+        The table is sorted by region and regions are numbered row-major,
+        so those rows are one contiguous, ascending run of positions: a
+        candidate set drawn from it lists stores in full-table order.
+        """
+        grid = self.land.grid
+        row = region // grid.cols
+        lo = table.region_starts[max(row - self._reach, 0) * grid.cols]
+        hi = table.region_starts[min(row + self._reach + 1, grid.rows) * grid.cols]
+        return int(lo), int(hi)
 
     # ------------------------------------------------------------------
     def generate(self) -> Sequence[OrderRecord]:

@@ -314,7 +314,8 @@ def metropolis_config(seed: int = 7, scale: float = 1.0) -> CityConfig:
     (10,000 regions, ~1.3M S-U edges per day across the periods) with a
     thin order history per region -- the regime the grid-tile sharded
     propagation path (:mod:`repro.core.shard`) exists for.  Simulation
-    relies on the vectorised fast path; expect ~20s at full scale.
+    relies on the vectorised fast path and the grid-windowed store choice;
+    expect ~5 s at full scale (2-core host, ~360 MB peak).
     """
     rows = max(int(round(100 * scale)), 24)
     return CityConfig(

@@ -132,17 +132,46 @@ class RegionGrid:
         near = np.hypot(x1 - x0, y1 - y0) <= radius
         return (r[near] * self.cols + c[near]).tolist()
 
+    def pair_arrays_within(
+        self, radius: float
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`pairs_within` as ``(src, dst, distance_m)`` arrays.
+
+        Vectorised over the offset window of :meth:`neighbors_within`, block
+        by block of source regions: pairs come out in (region, row-major
+        offset) order, centroids use the same ``(col + 0.5) * cell_size``
+        arithmetic, and distances are the same ``np.hypot`` ufunc
+        elementwise, so the arrays equal the per-region loop's list value
+        for value (``tests/test_grid_windows.py``).
+        """
+        reach = int(radius // self.cell_size) + 1
+        drs, dcs = _neighbor_offsets(reach)
+        block = max(1, (1 << 20) // max(len(drs), 1))
+        src, dst, dist = [], [], []
+        for b0 in range(0, self.num_regions, block):
+            ids = np.arange(b0, min(b0 + block, self.num_regions), dtype=np.int64)
+            row, col = np.divmod(ids, self.cols)
+            r = row[:, None] + drs
+            c = col[:, None] + dcs
+            valid = (r >= 0) & (r < self.rows) & (c >= 0) & (c < self.cols)
+            x0 = ((col + 0.5) * self.cell_size)[:, None]
+            y0 = ((row + 0.5) * self.cell_size)[:, None]
+            d = np.hypot(x0 - (c + 0.5) * self.cell_size,
+                         y0 - (r + 0.5) * self.cell_size)
+            i, k = np.nonzero(valid & (d <= radius))
+            src.append(ids[i])
+            dst.append(r[i, k] * self.cols + c[i, k])
+            dist.append(d[i, k])
+        return np.concatenate(src), np.concatenate(dst), np.concatenate(dist)
+
     def pairs_within(self, radius: float) -> List[Tuple[int, int, float]]:
         """All ordered region pairs with centroid distance <= radius.
 
         Returns ``(i, j, distance_m)`` triples with ``i != j`` -- the edge
         set of the Region Geographical Graph (Definition 2, threshold 800 m).
         """
-        pairs = []
-        for i in self:
-            for j in self.neighbors_within(i, radius):
-                pairs.append((i, j, self.distance(i, j)))
-        return pairs
+        src, dst, dist = self.pair_arrays_within(radius)
+        return list(zip(src.tolist(), dst.tolist(), dist.tolist()))
 
     # -- geographic coordinates -----------------------------------------------
     def to_lonlat(self, x: float, y: float) -> Tuple[float, float]:

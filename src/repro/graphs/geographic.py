@@ -36,13 +36,7 @@ class RegionGeographicalGraph:
     ) -> "RegionGeographicalGraph":
         if threshold_m <= 0:
             raise ValueError("threshold_m must be positive")
-        pairs = grid.pairs_within(threshold_m)
-        if pairs:
-            src, dst, dist = (np.array(x) for x in zip(*pairs))
-        else:  # degenerate single-region grid
-            src = np.zeros(0, dtype=np.int64)
-            dst = np.zeros(0, dtype=np.int64)
-            dist = np.zeros(0)
+        src, dst, dist = grid.pair_arrays_within(threshold_m)
         return cls(
             num_regions=grid.num_regions,
             src=src.astype(np.int64),

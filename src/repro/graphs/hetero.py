@@ -108,6 +108,7 @@ _STREAM_GRAPH_DEFAULT = env_flag("O2_STREAM_GRAPH", True)
 
 def _su_edges_streaming(
     agg,
+    grid,
     store_regions: np.ndarray,
     customer_regions: np.ndarray,
     sc: np.ndarray,
@@ -118,9 +119,16 @@ def _su_edges_streaming(
 ) -> Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
     """Banded S-U edge construction, array-identical to the per-store loop.
 
-    Stores are processed in consecutive bands sized so one ``(band, nU)``
-    distance block stays under :data:`DENSE_DISTANCE_LIMIT` cells (~32 MB);
-    the block is computed once per band and reused across all five periods.
+    Stores are processed one grid row at a time.  A store's candidates lie
+    within its ``far`` scope, so the row's ``(band, cols)`` distance block
+    only spans the customer regions in the grid rows that the row's largest
+    ``far`` can reach; customers in farther rows are more than that far
+    away on the row axis alone.  Both node lists are sorted by region id,
+    so those customers are one contiguous column slice.  A row whose block
+    would exceed :data:`DENSE_DISTANCE_LIMIT` cells is split into
+    consecutive sub-bands.  The block is computed once per band and reused
+    across all five periods.
+
     Edges are emitted in (store band, period-local ``np.nonzero`` row-major)
     order -- exactly the reference's ``si`` ascending, candidate ``ui``
     ascending order -- and concatenated at absolute offsets, so the final
@@ -131,6 +139,12 @@ def _su_edges_streaming(
     N = agg.num_regions
     sr = store_regions.astype(np.int64)
     ur = customer_regions.astype(np.int64)
+    for name, ids in (("store_regions", sr), ("customer_regions", ur)):
+        if np.any(ids[1:] <= ids[:-1]):
+            raise ValueError(
+                f"{name} must be strictly increasing region ids: the S-U "
+                "build slices customers by grid row"
+            )
 
     far_all = np.empty((NUM_PERIODS, nS))
     avg_all = np.empty((NUM_PERIODS, nS))
@@ -152,40 +166,51 @@ def _su_edges_streaming(
     chunks: Dict[int, List[Tuple[np.ndarray, ...]]] = {
         t: [] for t in range(NUM_PERIODS)
     }
-    band = max(1, DENSE_DISTANCE_LIMIT // max(nU, 1))
-    for b0 in range(0, nS, band):
-        b1 = min(b0 + band, nS)
-        # Same elementwise expression as the dense matrix build: the block
-        # is that matrix's row slice, bit for bit.
-        diff = sc[b0:b1, None, :] - uc[None, :, :]
-        block = np.sqrt((diff**2).sum(axis=2))
-        for t in range(NUM_PERIODS):
-            cand = block <= far_all[t, b0:b1, None]
-            si_loc, ui = np.nonzero(cand)
-            if not len(si_loc):
-                continue
-            si = b0 + si_loc
-            d = block[si_loc, ui]
-            rs = sr[si]
-            ru = ur[ui]
-            counts = agg.pair_tables[t].counts_for(rs * N + ru)
-            tot = tot_all[t, si]
-            ratio = np.divide(
-                counts, tot, out=np.zeros(len(counts)), where=tot > 0
-            )
-            # Reference rule: keep when d < avg, else require a meaningful
-            # order ratio (filters exception orders).
-            keep = (d < avg_all[t, si]) | (
-                (tot > 0) & (ratio >= order_ratio_threshold)
-            )
-            if not keep.any():
-                continue
-            attr = np.stack(
-                [d[keep] / DISTANCE_SCALE_M, counts[keep] / max_pair_count],
-                axis=1,
-            )
-            pairs = np.stack([rs[keep], ru[keep]], axis=1)
-            chunks[t].append((ui[keep], si[keep], attr, pairs))
+    rows, starts = np.unique(sr // grid.cols, return_index=True)
+    ends = np.append(starts[1:], nS)
+    for row, r0, r1 in zip(rows.tolist(), starts.tolist(), ends.tolist()):
+        # Customers more than ``reach`` rows away sit at least
+        # (far_max // cell + 2) cells away on the row axis: beyond far_max.
+        reach = int(far_all[:, r0:r1].max() // grid.cell_size) + 1
+        u0 = int(np.searchsorted(ur, max(row - reach, 0) * grid.cols))
+        u1 = int(np.searchsorted(ur, min(row + reach + 1, grid.rows) * grid.cols))
+        band = max(1, DENSE_DISTANCE_LIMIT // max(u1 - u0, 1))
+        for b0 in range(r0, r1, band):
+            b1 = min(b0 + band, r1)
+            # The dense build's sqrt(((sc - uc) ** 2).sum(axis=2)), with the
+            # two-term sum written out: the block is a sub-block of that
+            # matrix, bit for bit.
+            dx = sc[b0:b1, None, 0] - uc[None, u0:u1, 0]
+            dy = sc[b0:b1, None, 1] - uc[None, u0:u1, 1]
+            block = np.sqrt(dx**2 + dy**2)
+            for t in range(NUM_PERIODS):
+                cand = block <= far_all[t, b0:b1, None]
+                si_loc, ui_loc = np.nonzero(cand)
+                if not len(si_loc):
+                    continue
+                si = b0 + si_loc
+                ui = u0 + ui_loc
+                d = block[si_loc, ui_loc]
+                rs = sr[si]
+                ru = ur[ui]
+                counts = agg.pair_tables[t].counts_for(rs * N + ru)
+                tot = tot_all[t, si]
+                ratio = np.divide(
+                    counts, tot, out=np.zeros(len(counts)), where=tot > 0
+                )
+                # Reference rule: keep when d < avg, else require a
+                # meaningful order ratio (filters exception orders).
+                keep = (d < avg_all[t, si]) | (
+                    (tot > 0) & (ratio >= order_ratio_threshold)
+                )
+                if not keep.any():
+                    continue
+                attr = np.stack(
+                    [d[keep] / DISTANCE_SCALE_M, counts[keep] / max_pair_count],
+                    axis=1,
+                )
+                pairs = np.stack([rs[keep], ru[keep]], axis=1)
+                chunks[t].append((ui[keep], si[keep], attr, pairs))
 
     result = {}
     for t in range(NUM_PERIODS):
@@ -222,9 +247,10 @@ def build_hetero_multigraph(
 
     ``streaming`` selects the S-U edge builder: the per-store reference
     loop, or the banded streaming build (:func:`_su_edges_streaming`) that
-    vectorises the scope/ratio rule over ``(band, nU)`` distance blocks and
-    emits edge chunks at absolute offsets -- array-identical output, peak
-    memory bounded by one block.  The default ``None`` engages streaming
+    vectorises the scope/ratio rule over one grid row of stores at a time,
+    against only the customer rows within reach, and emits edge chunks at
+    absolute offsets -- array-identical output, peak memory bounded by one
+    block.  The default ``None`` engages streaming
     above :data:`DENSE_DISTANCE_LIMIT` cells (unless ``O2_STREAM_GRAPH=0``).
 
     ``windowed_distances`` selects the distance evaluation for the
@@ -252,6 +278,7 @@ def build_hetero_multigraph(
     if streaming:
         su_arrays = _su_edges_streaming(
             agg,
+            dataset.grid,
             store_regions,
             customer_regions,
             sc,
